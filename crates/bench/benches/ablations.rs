@@ -1,8 +1,8 @@
 //! Ablation benchmarks for the engine design choices called out in
-//! `DESIGN.md` §2: per-column hash indexes, the dynamic most-constrained
-//! atom ordering, the structured engines versus raw backtracking on
+//! `DESIGN.md` §2: the structured engines versus raw backtracking on
 //! instances inside the tractable classes, and the thread-parallel WDPT
-//! evaluator versus the sequential one.
+//! evaluator versus the sequential one. (Input order versus planned atom
+//! order is measured by `plan_bench`.)
 //!
 //! Plain `fn main` driven by the std-only runner (`harness = false`).
 //! Every case prints the per-iteration engine-counter deltas
@@ -10,13 +10,13 @@
 //! (index builds, tuples scanned, nodes expanded), not just wall-clock.
 
 use wdpt_bench::{bench_case_with_stats, section};
-use wdpt_core::evaluate_parallel;
-use wdpt_cq::backtrack::{extend_exists_config, BacktrackConfig};
+use wdpt_core::try_evaluate_parallel_planned;
+use wdpt_cq::backtrack::extend_exists;
 use wdpt_cq::structured::{boolean_eval_structured, StructuredPlan};
 use wdpt_cq::ConjunctiveQuery;
 use wdpt_gen::db::random_graph_db;
 use wdpt_gen::music::{figure1_wdpt, music_catalog, MusicParams};
-use wdpt_model::{Atom, Interner, Mapping, Var};
+use wdpt_model::{Atom, CancelToken, Interner, Mapping, Var};
 
 fn path_cq(i: &mut Interner, n: usize) -> ConjunctiveQuery {
     let e = i.pred("e");
@@ -26,44 +26,6 @@ fn path_cq(i: &mut Interner, n: usize) -> ConjunctiveQuery {
             .map(|w| Atom::new(e, vec![w[0].into(), w[1].into()]))
             .collect(),
     )
-}
-
-const CONFIGS: [(&str, BacktrackConfig); 3] = [
-    (
-        "full",
-        BacktrackConfig {
-            use_index: true,
-            dynamic_order: true,
-        },
-    ),
-    (
-        "no_index",
-        BacktrackConfig {
-            use_index: false,
-            dynamic_order: true,
-        },
-    ),
-    (
-        "static_order",
-        BacktrackConfig {
-            use_index: true,
-            dynamic_order: false,
-        },
-    ),
-];
-
-fn bench_index_and_ordering() {
-    section("ablation/backtracking_features");
-    for db_edges in [400usize, 1600] {
-        let mut i = Interner::new();
-        let (db, _) = random_graph_db(&mut i, db_edges / 4, db_edges, 99);
-        let q = path_cq(&mut i, 6);
-        for (name, config) in CONFIGS {
-            bench_case_with_stats(&format!("{name}/{db_edges}"), || {
-                extend_exists_config(&db, q.body(), &Mapping::empty(), config);
-            });
-        }
-    }
 }
 
 fn bench_structured_vs_backtracking_in_class() {
@@ -76,7 +38,7 @@ fn bench_structured_vs_backtracking_in_class() {
         let q = path_cq(&mut i, n);
         let plan = StructuredPlan::for_query_tw(&q, 1).unwrap();
         bench_case_with_stats(&format!("backtrack/{n}"), || {
-            extend_exists_config(&db, q.body(), &Mapping::empty(), BacktrackConfig::default());
+            extend_exists(&db, q.body(), &Mapping::empty());
         });
         bench_case_with_stats(&format!("tw1_structured/{n}"), || {
             boolean_eval_structured(&q, &db, &plan, &Mapping::empty());
@@ -107,14 +69,14 @@ fn bench_parallel_evaluation() {
         });
         for threads in [2usize, 4, 8] {
             bench_case_with_stats(&format!("parallel{threads}/{bands}"), || {
-                evaluate_parallel(&p, &db, threads);
+                try_evaluate_parallel_planned(&p, &db, threads, CancelToken::never(), None)
+                    .unwrap();
             });
         }
     }
 }
 
 fn main() {
-    bench_index_and_ordering();
     bench_structured_vs_backtracking_in_class();
     bench_parallel_evaluation();
 }

@@ -2,8 +2,8 @@
 //! orderings, on a skewed synthetic catalog.
 //!
 //! The seed engine had two orderings: the query's own atom order executed
-//! one-shot (`dynamic_order: false`), and the per-step most-constrained
-//! heuristic. The planner replaces both with a static permutation chosen
+//! one-shot (here: `try_extend_all_ordered` with the identity permutation),
+//! and the per-step most-constrained heuristic (`try_extend_all`). The planner replaces both with a static permutation chosen
 //! up front from the statistics catalog. This bench measures what that
 //! buys on data where the input order is maximally wrong — a heavy fan-out
 //! relation listed first, the 1-row filter last — by comparing *actual*

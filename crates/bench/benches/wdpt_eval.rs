@@ -8,13 +8,13 @@
 
 use wdpt_bench::{bench_case, section};
 use wdpt_core::{
-    eval_bounded_interface, eval_decide, evaluate_parallel, max_eval_decide, partial_eval_decide,
-    Engine,
+    eval_bounded_interface, eval_decide, max_eval_decide, partial_eval_decide,
+    try_evaluate_parallel_planned, Engine,
 };
 use wdpt_gen::music::{figure1_wdpt, music_catalog, MusicParams};
 use wdpt_gen::reductions::three_col_instance;
 use wdpt_gen::trees::chain_wdpt;
-use wdpt_model::{Interner, Mapping};
+use wdpt_model::{CancelToken, Interner, Mapping};
 
 fn bench_eval_on_figure1() {
     section("wdpt/eval_figure1_catalog");
@@ -59,7 +59,8 @@ fn bench_enumeration_parallel() {
         });
         for threads in [2usize, 4] {
             bench_case(&format!("parallel{threads}/{bands}"), || {
-                evaluate_parallel(&p, &db, threads);
+                try_evaluate_parallel_planned(&p, &db, threads, CancelToken::never(), None)
+                    .unwrap();
             });
         }
     }

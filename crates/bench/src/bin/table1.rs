@@ -13,15 +13,14 @@
 //! The `parallel` row compares the sequential evaluator with the
 //! `std::thread::scope` fan-out (`--threads 0` auto-detects), prints the
 //! engine-counter deltas alongside wall-clock, and finishes with an
-//! EXPLAIN-style [`wdpt_core::evaluate_parallel_profiled`] profile of one
+//! EXPLAIN-style [`wdpt_core::try_evaluate_parallel_captured_planned`] profile of one
 //! representative run. With `--json`, all prose is suppressed and every row
 //! becomes one machine-readable JSON object on stdout.
 
 use wdpt_bench::{measure, Report, Series};
 use wdpt_core::{
-    eval_bounded_interface, eval_decide, evaluate_parallel, has_bounded_interface, interface_width,
-    is_globally_in, is_locally_in, max_eval_decide, partial_eval_decide, subsumed, Engine,
-    WidthKind,
+    eval_bounded_interface, eval_decide, has_bounded_interface, interface_width, is_globally_in,
+    is_locally_in, max_eval_decide, partial_eval_decide, subsumed, Engine, WidthKind,
 };
 use wdpt_gen::db::{random_graph_db, random_undirected_graph, rng};
 use wdpt_gen::music::{music_catalog, MusicParams};
@@ -29,7 +28,7 @@ use wdpt_gen::reductions::{qbf_instance, three_col_instance, QbfLit};
 use wdpt_gen::trees::{
     chain_wdpt, clique_chain_wdpt, clique_pattern_wdpt, random_wdpt, star_wdpt, wide_interface_wdpt,
 };
-use wdpt_model::{Interner, Mapping};
+use wdpt_model::{CancelToken, Interner, Mapping};
 
 struct Config {
     row: Option<String>,
@@ -355,7 +354,7 @@ fn row_parallel(cfg: &Config) {
     r.series(&s);
     let before = wdpt_obs::metrics_snapshot();
     let s = measure(
-        "evaluate_parallel on the Figure-1 query (x = bands)",
+        "try_evaluate_parallel_planned on the Figure-1 query (x = bands)",
         &bands,
         cfg.min_runtime,
         |bands| {
@@ -368,7 +367,9 @@ fn row_parallel(cfg: &Config) {
                 },
             );
             let p = wdpt_gen::music::figure1_wdpt(&mut i);
-            std::hint::black_box(evaluate_parallel(&p, &db, threads));
+            let never = CancelToken::never();
+            let answers = wdpt_core::try_evaluate_parallel_planned(&p, &db, threads, never, None);
+            std::hint::black_box(answers.expect("the never token cannot cancel"));
         },
     );
     r.series(&s);
@@ -386,11 +387,13 @@ fn row_parallel(cfg: &Config) {
         },
     );
     let p = wdpt_gen::music::figure1_wdpt(&mut i);
-    let (_, profile) = wdpt_core::evaluate_parallel_profiled(
+    let (_, profile) = wdpt_core::try_evaluate_parallel_captured_planned(
         &p,
         &db,
         threads,
-        &format!("figure1 evaluate_parallel ({largest} bands, {threads} threads)"),
+        CancelToken::never(),
+        &format!("figure1 evaluation ({largest} bands, {threads} threads)"),
+        None,
     );
     r.profile(&profile);
 }

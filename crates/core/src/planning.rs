@@ -116,7 +116,7 @@ mod tests {
             );
             assert_eq!(
                 planned.unwrap(),
-                crate::semantics::evaluate_parallel(&p, &db, 2),
+                crate::semantics::evaluate(&p, &db),
                 "{strategy}"
             );
         }

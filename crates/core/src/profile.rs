@@ -1,22 +1,19 @@
-//! Profiled WDPT evaluation: the `EXPLAIN ANALYZE` entry points.
+//! Profiled WDPT evaluation: the `EXPLAIN ANALYZE` entry point.
 //!
-//! [`evaluate_profiled`] / [`evaluate_parallel_profiled`] run the same
-//! evaluators as [`crate::semantics`] but bracket them with a
+//! [`try_evaluate_parallel_captured_planned`] runs the same evaluator as
+//! [`crate::semantics`] but brackets it with a
 //! [`wdpt_obs::ProfileRecorder`] (enabling span tracing for the duration)
-//! and collect exact per-tree-node homomorphism tallies via a query-local
+//! and collects exact per-tree-node homomorphism tallies via a query-local
 //! [`NodeTally`](crate::semantics). Because the tally is query-local — not
-//! a process-wide counter — the per-node numbers are deterministic: the
+//! a process-wide counter — the per-node numbers are deterministic: a
 //! parallel profile's node data equals the sequential one's exactly, which
 //! the observability-parity test relies on.
 
-use crate::semantics::{
-    maximal_homomorphisms_parallel_tallied, maximal_homomorphisms_tallied,
-    try_maximal_homomorphisms_parallel_tallied, NodeTally,
-};
+use crate::semantics::{maximal_homs, project_free, NodeTally};
 use crate::tree::Wdpt;
-use std::collections::BTreeSet;
-use wdpt_model::{mapping::maximal_mappings, CancelToken, Cancelled, Database, Mapping};
+use wdpt_model::{CancelToken, Cancelled, Database, Mapping};
 use wdpt_obs::{NodeEntry, ProfileRecorder, QueryProfile};
+use wdpt_plan::ExecPlan;
 
 /// Builds the per-node profile entries from a finished tally: preorder ids,
 /// parent/depth for indentation, a label summarizing the node's pattern,
@@ -38,132 +35,41 @@ fn node_entries(p: &Wdpt, tally: &NodeTally) -> Vec<NodeEntry> {
         .collect()
 }
 
-fn project_free(p: &Wdpt, homs: Vec<Mapping>) -> Vec<Mapping> {
-    let free = p.free_set();
-    let set: BTreeSet<Mapping> = homs.into_iter().map(|h| h.restrict(&free)).collect();
-    set.into_iter().collect()
-}
-
-/// [`crate::evaluate`] plus a [`QueryProfile`] of the run.
-pub fn evaluate_profiled(p: &Wdpt, db: &Database, label: &str) -> (Vec<Mapping>, QueryProfile) {
-    let mut rec = ProfileRecorder::start(label);
-    let tally = NodeTally::new(p.node_count());
-    let answers = project_free(p, maximal_homomorphisms_tallied(p, db, Some(&tally)));
-    rec.set_nodes(node_entries(p, &tally));
-    let profile = rec.finish(answers.len() as u64);
-    (answers, profile)
-}
-
-/// [`crate::evaluate_parallel`] plus a [`QueryProfile`] of the run. The
-/// profile's per-node homomorphism counts equal the sequential profile's
-/// exactly; its span and counter sections additionally show the fan-out
-/// (`wdpt.parallel.worker` spans, `wdpt.parallel_tasks` counter).
-pub fn evaluate_parallel_profiled(
-    p: &Wdpt,
-    db: &Database,
-    threads: usize,
-    label: &str,
-) -> (Vec<Mapping>, QueryProfile) {
-    let mut rec = ProfileRecorder::start(label);
-    let tally = NodeTally::new(p.node_count());
-    let answers = project_free(
-        p,
-        maximal_homomorphisms_parallel_tallied(p, db, threads, Some(&tally)),
-    );
-    rec.set_nodes(node_entries(p, &tally));
-    let profile = rec.finish(answers.len() as u64);
-    (answers, profile)
-}
-
-/// [`evaluate_parallel_profiled`] under a cancel token. On cancellation the
-/// partially-recorded profile is discarded (the recorder still runs to
-/// completion so the global tracing state is restored).
-pub fn try_evaluate_parallel_profiled(
-    p: &Wdpt,
-    db: &Database,
-    threads: usize,
-    token: &CancelToken,
-    label: &str,
-) -> Result<(Vec<Mapping>, QueryProfile), Cancelled> {
-    let mut rec = ProfileRecorder::start(label);
-    let tally = NodeTally::new(p.node_count());
-    match try_maximal_homomorphisms_parallel_tallied(p, db, threads, Some(&tally), None, token) {
-        Ok(homs) => {
-            let answers = project_free(p, homs);
-            rec.set_nodes(node_entries(p, &tally));
-            let profile = rec.finish(answers.len() as u64);
-            Ok((answers, profile))
-        }
-        Err(Cancelled) => {
-            rec.finish(0);
-            Err(Cancelled)
-        }
-    }
-}
-
-/// [`try_evaluate_parallel_profiled`], except the profile *survives*
-/// cancellation: whatever phases, counters, and per-node tallies accumulated
-/// up to the deadline come back alongside the `Err`. This is what a serving
-/// layer's slow-query log needs — the queries most worth explaining are
-/// exactly the ones that blew their deadline, and a discarded profile would
-/// leave their EXPLAIN empty.
-pub fn try_evaluate_parallel_captured(
-    p: &Wdpt,
-    db: &Database,
-    threads: usize,
-    token: &CancelToken,
-    label: &str,
-) -> (Result<Vec<Mapping>, Cancelled>, QueryProfile) {
-    try_evaluate_parallel_captured_planned(p, db, threads, token, label, None)
-}
-
-/// [`try_evaluate_parallel_captured`] executing an optional cost-based
-/// [`ExecPlan`]: nodes with a planned atom order run it statically; a
-/// `None` plan (or a plan built for a different tree shape) falls back to
-/// the dynamic most-constrained heuristic per node. Answers are identical
-/// either way — a plan only changes the order work is discovered in.
+/// [`crate::try_evaluate_parallel_planned`] plus a [`QueryProfile`] of the
+/// run. The profile *survives* cancellation: whatever phases, counters,
+/// and per-node tallies accumulated up to the deadline come back alongside
+/// the `Err`. This is what a serving layer's slow-query log needs — the
+/// queries most worth explaining are exactly the ones that blew their
+/// deadline, and a discarded profile would leave their EXPLAIN empty.
+///
+/// The per-node homomorphism counts are identical for every thread count;
+/// a fanned-out run additionally shows `wdpt.parallel.worker` spans and
+/// the `wdpt.parallel_tasks` counter. Nodes with a planned atom order run
+/// it statically; a `None` plan (or a plan built for a different tree
+/// shape) falls back to the dynamic most-constrained heuristic per node.
+/// Answers are identical either way — a plan only changes the order work
+/// is discovered in.
 pub fn try_evaluate_parallel_captured_planned(
     p: &Wdpt,
     db: &Database,
     threads: usize,
     token: &CancelToken,
     label: &str,
-    plan: Option<&wdpt_plan::ExecPlan>,
+    plan: Option<&ExecPlan>,
 ) -> (Result<Vec<Mapping>, Cancelled>, QueryProfile) {
     let mut rec = ProfileRecorder::start(label);
     let tally = NodeTally::new(p.node_count());
-    match try_maximal_homomorphisms_parallel_tallied(p, db, threads, Some(&tally), plan, token) {
-        Ok(homs) => {
-            let answers = project_free(p, homs);
-            rec.set_nodes(node_entries(p, &tally));
-            let profile = rec.finish(answers.len() as u64);
-            (Ok(answers), profile)
-        }
-        Err(Cancelled) => {
-            rec.set_nodes(node_entries(p, &tally));
-            let profile = rec.finish(0);
-            (Err(Cancelled), profile)
-        }
-    }
-}
-
-/// [`crate::evaluate_max`] plus a [`QueryProfile`] of the run.
-pub fn evaluate_max_profiled(p: &Wdpt, db: &Database, label: &str) -> (Vec<Mapping>, QueryProfile) {
-    let mut rec = ProfileRecorder::start(label);
-    let tally = NodeTally::new(p.node_count());
-    let answers = maximal_mappings(project_free(
-        p,
-        maximal_homomorphisms_tallied(p, db, Some(&tally)),
-    ));
+    let result =
+        maximal_homs(p, db, threads, token, plan, Some(&tally)).map(|homs| project_free(p, homs));
     rec.set_nodes(node_entries(p, &tally));
-    let profile = rec.finish(answers.len() as u64);
-    (answers, profile)
+    let answers = result.as_ref().map_or(0, |a| a.len() as u64);
+    (result, rec.finish(answers))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::semantics::{evaluate, evaluate_parallel};
+    use crate::semantics::{evaluate, try_evaluate_parallel_planned};
     use crate::tree::WdptBuilder;
     use wdpt_model::parse::{parse_atoms, parse_database};
     use wdpt_model::Interner;
@@ -185,28 +91,43 @@ mod tests {
         (i, p, db)
     }
 
+    fn profiled(
+        p: &Wdpt,
+        db: &Database,
+        threads: usize,
+        label: &str,
+    ) -> (Vec<Mapping>, QueryProfile) {
+        let never = CancelToken::never();
+        let (answers, profile) =
+            try_evaluate_parallel_captured_planned(p, db, threads, never, label, None);
+        (answers.unwrap(), profile)
+    }
+
     #[test]
     fn profiled_answers_match_unprofiled() {
         let (_i, p, db) = fixture();
-        let (answers, profile) = evaluate_profiled(&p, &db, "test seq");
+        let (answers, profile) = profiled(&p, &db, 1, "test seq");
         assert_eq!(answers, evaluate(&p, &db));
         assert_eq!(profile.answers, answers.len() as u64);
         assert_eq!(profile.nodes.len(), p.node_count());
         // The root saw its 3 local homomorphisms.
         assert_eq!(profile.nodes[0].metrics[0], ("homomorphisms", 3));
-        // Spans fired: the sequential evaluator and the backtrack engine.
-        assert!(profile.phase("wdpt.eval.sequential").is_some());
+        // Spans fired: the evaluator and the backtrack engine.
+        assert!(profile.phase("wdpt.eval").is_some());
         assert!(profile.phase("cq.backtrack.extend_all").is_some());
     }
 
     #[test]
     fn parallel_profile_has_exact_node_parity_with_sequential() {
         let (_i, p, db) = fixture();
-        let (seq_answers, seq_profile) = evaluate_profiled(&p, &db, "seq");
+        let (seq_answers, seq_profile) = profiled(&p, &db, 1, "seq");
         for threads in [2, 4, 8] {
-            let (par_answers, par_profile) = evaluate_parallel_profiled(&p, &db, threads, "par");
+            let (par_answers, par_profile) = profiled(&p, &db, threads, "par");
             assert_eq!(par_answers, seq_answers);
-            assert_eq!(par_answers, evaluate_parallel(&p, &db, threads));
+            assert_eq!(
+                Ok(par_answers),
+                try_evaluate_parallel_planned(&p, &db, threads, CancelToken::never(), None)
+            );
             // Observability parity: identical per-node homomorphism tallies,
             // merged across the scoped workers.
             assert_eq!(par_profile.nodes, seq_profile.nodes);
@@ -220,9 +141,9 @@ mod tests {
     #[test]
     fn profile_serializes_and_renders() {
         let (_i, p, db) = fixture();
-        let (_, profile) = evaluate_parallel_profiled(&p, &db, 4, "render");
+        let (_, profile) = profiled(&p, &db, 4, "render");
         let text = profile.render();
-        assert!(text.contains("wdpt.eval.parallel"));
+        assert!(text.contains("wdpt.eval"));
         assert!(text.contains("homomorphisms="));
         let json = profile.to_json().to_string();
         let parsed = wdpt_obs::Json::parse(&json).expect("valid JSON");
@@ -233,10 +154,16 @@ mod tests {
     }
 
     #[test]
-    fn max_profiled_matches_evaluate_max() {
+    fn cancelled_run_keeps_its_profile() {
         let (_i, p, db) = fixture();
-        let (answers, profile) = evaluate_max_profiled(&p, &db, "max");
-        assert_eq!(answers, crate::semantics::evaluate_max(&p, &db));
-        assert_eq!(profile.answers, answers.len() as u64);
+        let token = CancelToken::new();
+        token.cancel();
+        for threads in [1, 4] {
+            let (result, profile) =
+                try_evaluate_parallel_captured_planned(&p, &db, threads, &token, "cut", None);
+            assert_eq!(result, Err(Cancelled));
+            assert_eq!(profile.answers, 0);
+            assert_eq!(profile.nodes.len(), p.node_count());
+        }
     }
 }

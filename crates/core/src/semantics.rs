@@ -12,7 +12,8 @@
 //! is therefore a local homomorphism of the root joined, for every child
 //! that is extendable at all, with some maximal extension into that child —
 //! a recursive product that never enumerates the `2^{|T|}` subtrees
-//! explicitly.
+//! explicitly. The same independence lets the root's `(local
+//! homomorphism × OPT child)` pairs run on scoped worker threads.
 
 use crate::tree::Wdpt;
 use std::collections::BTreeSet;
@@ -21,24 +22,6 @@ use wdpt_cq::backtrack::{extend_all, extend_exists, try_extend_all, try_extend_a
 use wdpt_model::{mapping::maximal_mappings, CancelToken, Cancelled, Database, Mapping};
 use wdpt_obs::span;
 use wdpt_plan::ExecPlan;
-
-/// Local homomorphisms of node `t` under `inherited`, following the
-/// planned static atom order when an [`ExecPlan`] carries one for the node
-/// and the dynamic most-constrained heuristic otherwise. A plan indexed
-/// for a different tree shape degrades per-node to the dynamic default.
-fn node_extend(
-    db: &Database,
-    p: &Wdpt,
-    t: usize,
-    plan: Option<&ExecPlan>,
-    inherited: &Mapping,
-    token: &CancelToken,
-) -> Result<Vec<Mapping>, Cancelled> {
-    match plan.and_then(|pl| pl.nodes.get(t)) {
-        Some(no) => try_extend_all_ordered(db, p.atoms(t), &no.order, inherited, token),
-        None => try_extend_all(db, p.atoms(t), inherited, token),
-    }
-}
 
 /// Per-query, per-tree-node tallies collected while evaluating. One slot
 /// per WDPT node (preorder id); atomics so the parallel workers can share
@@ -70,265 +53,137 @@ impl NodeTally {
     }
 }
 
-/// All maximal homomorphisms from `p` to `db` (on their various domains).
-/// Exponential in the size of the output; intended for exact small-scale
-/// semantics, tests, and the intractable baselines of the benchmarks.
-pub fn maximal_homomorphisms(p: &Wdpt, db: &Database) -> Vec<Mapping> {
-    maximal_homomorphisms_tallied(p, db, None)
-}
-
-/// [`maximal_homomorphisms`] under a cancel token: `Err(Cancelled)` if the
-/// token fires (or its deadline passes) mid-evaluation.
-pub fn try_maximal_homomorphisms(
-    p: &Wdpt,
-    db: &Database,
-    token: &CancelToken,
-) -> Result<Vec<Mapping>, Cancelled> {
-    try_maximal_homomorphisms_tallied(p, db, None, None, token)
-}
-
-/// [`maximal_homomorphisms`] with an optional per-node tally (used by the
-/// profiled entry points in [`crate::profile`]).
-pub(crate) fn maximal_homomorphisms_tallied(
-    p: &Wdpt,
-    db: &Database,
-    tally: Option<&NodeTally>,
-) -> Vec<Mapping> {
-    try_maximal_homomorphisms_tallied(p, db, tally, None, CancelToken::never())
-        .expect("the never token cannot cancel")
-}
-
-pub(crate) fn try_maximal_homomorphisms_tallied(
-    p: &Wdpt,
-    db: &Database,
-    tally: Option<&NodeTally>,
-    plan: Option<&ExecPlan>,
-    token: &CancelToken,
-) -> Result<Vec<Mapping>, Cancelled> {
-    let _span = span!("wdpt.eval.sequential");
-    let homs = extensions(p, db, p.root(), &Mapping::empty(), tally, plan, token)?;
-    let out: BTreeSet<Mapping> = homs.into_iter().collect();
-    // The recursion can produce duplicates through different local homs
-    // projecting equally; BTreeSet dedups canonically.
-    Ok(out.into_iter().collect())
-}
-
-/// Maximal extensions into the subtree rooted at `t`, given the bindings of
-/// the ancestors. Empty result means "`t` is not extendable" (the OPT
-/// branch fails and is dropped). The token is polled inside the per-node
-/// backtracking search and between cartesian-product assembly rounds.
-fn extensions(
-    p: &Wdpt,
-    db: &Database,
-    t: usize,
-    inherited: &Mapping,
-    tally: Option<&NodeTally>,
-    plan: Option<&ExecPlan>,
-    token: &CancelToken,
-) -> Result<Vec<Mapping>, Cancelled> {
-    let local = node_extend(db, p, t, plan, inherited, token)?;
-    if let Some(tally) = tally {
-        tally.add_homs(t, local.len() as u64);
-    }
-    let mut out = Vec::new();
-    for g in local {
-        if token.is_cancelled() {
-            return Err(Cancelled);
-        }
-        let ctx = inherited
-            .union(&g)
-            .expect("local homomorphism agrees with inherited bindings");
-        // Children are independent given ctx (well-designedness).
-        let mut parts: Vec<Vec<Mapping>> = Vec::new();
-        for &c in p.children(t) {
-            let subs = extensions(p, db, c, &ctx, tally, plan, token)?;
-            if !subs.is_empty() {
-                parts.push(subs);
-            }
-            // Not extendable: child contributes nothing — and maximality
-            // w.r.t. this child holds vacuously.
-        }
-        // Cartesian product of the children's maximal extensions.
-        let mut acc: Vec<Mapping> = vec![ctx.clone()];
-        for part in parts {
-            if token.is_cancelled() {
-                return Err(Cancelled);
-            }
-            let mut next = Vec::with_capacity(acc.len() * part.len());
-            for base in &acc {
-                for ext in &part {
-                    next.push(
-                        base.union(ext)
-                            .expect("sibling subtrees only share ancestor variables"),
-                    );
-                }
-            }
-            acc = next;
-        }
-        out.extend(acc);
-    }
-    Ok(out)
-}
-
-/// The evaluation `p(D)`: projections of the maximal homomorphisms onto the
-/// free variables, deduplicated (Definition 2).
-pub fn evaluate(p: &Wdpt, db: &Database) -> Vec<Mapping> {
-    let free = p.free_set();
-    let set: BTreeSet<Mapping> = maximal_homomorphisms(p, db)
-        .into_iter()
-        .map(|h| h.restrict(&free))
-        .collect();
-    set.into_iter().collect()
-}
-
-/// [`evaluate`] under a cancel token.
-pub fn try_evaluate(
-    p: &Wdpt,
-    db: &Database,
-    token: &CancelToken,
-) -> Result<Vec<Mapping>, Cancelled> {
-    let free = p.free_set();
-    let set: BTreeSet<Mapping> = try_maximal_homomorphisms(p, db, token)?
-        .into_iter()
-        .map(|h| h.restrict(&free))
-        .collect();
-    Ok(set.into_iter().collect())
-}
-
-/// The maximal-mapping semantics `p_m(D)` (Section 3.4): the ⊑-maximal
-/// elements of `p(D)`.
-pub fn evaluate_max(p: &Wdpt, db: &Database) -> Vec<Mapping> {
-    maximal_mappings(evaluate(p, db))
-}
-
 /// Fewest (root local homomorphism × OPT child) work items for which
-/// spawning threads can pay off; below this the sequential path runs.
+/// spawning threads can pay off; below this the items run inline.
 const MIN_PARALLEL_JOBS: usize = 2;
 
-/// [`maximal_homomorphisms`], computed with up to `threads` worker threads
-/// (`0` means [`std::thread::available_parallelism`]).
-///
-/// Well-designedness is what makes the split safe: sibling OPT subtrees
-/// share variables only through their common ancestors, so once a root
-/// local homomorphism fixes the ancestor valuation, every `(local hom,
-/// child subtree)` pair is an independent work item. The items are strided
-/// over scoped threads (`Database` is `Sync` — the column indexes live in
-/// `OnceLock`s), each computing the child's maximal extensions, and the
-/// per-context cartesian products are assembled sequentially afterwards.
-/// Falls back to the sequential evaluator when there are fewer than
-/// [`MIN_PARALLEL_JOBS`] items or a single thread; the result is always
-/// identical to [`maximal_homomorphisms`].
-pub fn maximal_homomorphisms_parallel(p: &Wdpt, db: &Database, threads: usize) -> Vec<Mapping> {
-    maximal_homomorphisms_parallel_tallied(p, db, threads, None)
+const NEVER: &str = "the never token cannot cancel";
+
+/// One evaluation's fixed inputs, shared by reference with every recursion
+/// level and every scoped worker (`Database` is `Sync` — the column indexes
+/// live in `OnceLock`s — and the tally is atomic).
+struct Run<'a> {
+    p: &'a Wdpt,
+    db: &'a Database,
+    plan: Option<&'a ExecPlan>,
+    tally: Option<&'a NodeTally>,
+    token: &'a CancelToken,
 }
 
-/// [`maximal_homomorphisms_parallel`] under a cancel token. The token is
-/// shared by every scoped worker, so one worker hitting the deadline stops
-/// the rest within one poll interval.
-pub fn try_maximal_homomorphisms_parallel(
-    p: &Wdpt,
-    db: &Database,
-    threads: usize,
-    token: &CancelToken,
-) -> Result<Vec<Mapping>, Cancelled> {
-    try_maximal_homomorphisms_parallel_tallied(p, db, threads, None, None, token)
-}
-
-/// [`maximal_homomorphisms_parallel`] with an optional per-node tally. The
-/// tally is shared by reference across the scoped workers; its atomics make
-/// the counts exact once the scope joins.
-pub(crate) fn maximal_homomorphisms_parallel_tallied(
-    p: &Wdpt,
-    db: &Database,
-    threads: usize,
-    tally: Option<&NodeTally>,
-) -> Vec<Mapping> {
-    try_maximal_homomorphisms_parallel_tallied(p, db, threads, tally, None, CancelToken::never())
-        .expect("the never token cannot cancel")
-}
-
-pub(crate) fn try_maximal_homomorphisms_parallel_tallied(
-    p: &Wdpt,
-    db: &Database,
-    threads: usize,
-    tally: Option<&NodeTally>,
-    plan: Option<&ExecPlan>,
-    token: &CancelToken,
-) -> Result<Vec<Mapping>, Cancelled> {
-    let _span = span!("wdpt.eval.parallel");
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        threads
-    };
-    let root = p.root();
-    let locals = node_extend(db, p, root, plan, &Mapping::empty(), token)?;
-    let children = p.children(root);
-    let jobs: Vec<(usize, usize)> = (0..locals.len())
-        .flat_map(|ci| children.iter().map(move |&c| (ci, c)))
-        .collect();
-    if threads <= 1 || jobs.len() < MIN_PARALLEL_JOBS {
-        // The root locals just computed would be double-counted by the
-        // sequential fallback, which recomputes them.
-        return try_maximal_homomorphisms_tallied(p, db, tally, plan, token);
-    }
-    if let Some(tally) = tally {
-        tally.add_homs(root, locals.len() as u64);
-    }
-    // Child extensions for every (context, child) pair, computed in
-    // parallel. The workers only read `p`, `db`, `locals`, and `jobs`.
-    // A cancelled worker leaves a hole; the scope still joins everything
-    // before the error propagates.
-    let mut results: Vec<Vec<Mapping>> = vec![Vec::new(); jobs.len()];
-    let workers = threads.min(jobs.len());
-    let mut cancelled = false;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let (jobs, locals) = (&jobs, &locals);
-                s.spawn(move || {
-                    let _span = span!("wdpt.parallel.worker");
-                    let mut out = Vec::new();
-                    let mut idx = w;
-                    while idx < jobs.len() {
-                        let (ci, child) = jobs[idx];
-                        wdpt_model::stats::record_parallel_task();
-                        out.push((
-                            idx,
-                            extensions(p, db, child, &locals[ci], tally, plan, token),
-                        ));
-                        idx += workers;
-                    }
-                    out
-                })
+impl Run<'_> {
+    /// Maximal extensions into the subtree rooted at `t`, given the
+    /// bindings of the ancestors. Empty result means "`t` is not
+    /// extendable" (the OPT branch fails and is dropped).
+    ///
+    /// The node's local homomorphisms are searched once; the `(local hom ×
+    /// child)` parts are then computed on up to `threads` scoped workers
+    /// when there are at least [`MIN_PARALLEL_JOBS`] of them, inline
+    /// otherwise. Everything below this node runs inline.
+    fn extensions(
+        &self,
+        t: usize,
+        inherited: &Mapping,
+        threads: usize,
+    ) -> Result<Vec<Mapping>, Cancelled> {
+        let local = match self.plan.and_then(|pl| pl.nodes.get(t)) {
+            Some(no) => {
+                try_extend_all_ordered(self.db, self.p.atoms(t), &no.order, inherited, self.token)
+            }
+            None => try_extend_all(self.db, self.p.atoms(t), inherited, self.token),
+        }?;
+        if let Some(tally) = self.tally {
+            tally.add_homs(t, local.len() as u64);
+        }
+        let ctxs: Vec<Mapping> = local
+            .into_iter()
+            .map(|g| {
+                inherited
+                    .union(&g)
+                    .expect("local homomorphism agrees with inherited bindings")
             })
             .collect();
-        for handle in handles {
-            for (idx, exts) in handle.join().expect("worker thread panicked") {
-                match exts {
-                    Ok(exts) => results[idx] = exts,
-                    Err(Cancelled) => cancelled = true,
+        let children = self.p.children(t);
+        let jobs = ctxs.len() * children.len();
+        let parts = if threads > 1 && jobs >= MIN_PARALLEL_JOBS {
+            self.fan_out(&ctxs, children, threads)?
+        } else {
+            let mut parts = Vec::with_capacity(jobs);
+            for ctx in &ctxs {
+                for &c in children {
+                    parts.push(self.extensions(c, ctx, 1)?);
                 }
             }
+            parts
+        };
+        let _assemble = (t == self.p.root()).then(|| span!("wdpt.eval.assemble"));
+        let mut out = Vec::new();
+        for (ci, ctx) in ctxs.into_iter().enumerate() {
+            let row = &parts[ci * children.len()..(ci + 1) * children.len()];
+            self.product(ctx, row, &mut out)?;
         }
-    });
-    if cancelled {
-        return Err(Cancelled);
+        Ok(out)
     }
-    // Sequential assembly, mirroring `extensions` at the root: for each
-    // local homomorphism, the cartesian product over its extendable
-    // children, then canonical dedup.
-    let _assemble_span = span!("wdpt.eval.assemble");
-    let mut out: BTreeSet<Mapping> = BTreeSet::new();
-    for (ci, ctx) in locals.iter().enumerate() {
-        if token.is_cancelled() {
+
+    /// Computes `extensions(child, ctx)` for every `(ctx, child)` pair on
+    /// `threads` scoped workers, strided over the pairs; the result is
+    /// indexed `ci * children.len() + j`. The workers share the cancel
+    /// token, so one hitting the deadline stops the rest within one poll
+    /// interval; the scope joins everything before the error propagates.
+    fn fan_out(
+        &self,
+        ctxs: &[Mapping],
+        children: &[usize],
+        threads: usize,
+    ) -> Result<Vec<Vec<Mapping>>, Cancelled> {
+        let jobs = ctxs.len() * children.len();
+        let workers = threads.min(jobs);
+        let mut parts = vec![Vec::new(); jobs];
+        let mut cancelled = false;
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    s.spawn(move || {
+                        let _span = span!("wdpt.parallel.worker");
+                        (w..jobs)
+                            .step_by(workers)
+                            .map(|idx| {
+                                wdpt_model::stats::record_parallel_task();
+                                let (ci, j) = (idx / children.len(), idx % children.len());
+                                (idx, self.extensions(children[j], &ctxs[ci], 1))
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for handle in handles {
+                for (idx, exts) in handle.join().expect("worker thread panicked") {
+                    match exts {
+                        Ok(exts) => parts[idx] = exts,
+                        Err(Cancelled) => cancelled = true,
+                    }
+                }
+            }
+        });
+        if cancelled {
             return Err(Cancelled);
         }
-        let mut acc: Vec<Mapping> = vec![ctx.clone()];
-        for (j, _) in children.iter().enumerate() {
-            let part = &results[ci * children.len() + j];
-            if part.is_empty() {
-                continue; // not extendable: maximality holds vacuously
+        Ok(parts)
+    }
+
+    /// Appends to `out` the cartesian product of `ctx` with its children's
+    /// maximal extensions `parts`. An empty part is a child that is not
+    /// extendable: it contributes nothing, and maximality w.r.t. it holds
+    /// vacuously. The token is polled between product rounds.
+    fn product(
+        &self,
+        ctx: Mapping,
+        parts: &[Vec<Mapping>],
+        out: &mut Vec<Mapping>,
+    ) -> Result<(), Cancelled> {
+        let mut acc = vec![ctx];
+        for part in parts.iter().filter(|part| !part.is_empty()) {
+            if self.token.is_cancelled() {
+                return Err(Cancelled);
             }
             let mut next = Vec::with_capacity(acc.len() * part.len());
             for base in &acc {
@@ -342,41 +197,83 @@ pub(crate) fn try_maximal_homomorphisms_parallel_tallied(
             acc = next;
         }
         out.extend(acc);
+        Ok(())
     }
-    Ok(out.into_iter().collect())
 }
 
-/// [`evaluate`] via the thread-parallel evaluator; agrees with the
-/// sequential result exactly (same answers, same canonical order).
-pub fn evaluate_parallel(p: &Wdpt, db: &Database, threads: usize) -> Vec<Mapping> {
-    let free = p.free_set();
-    let set: BTreeSet<Mapping> = maximal_homomorphisms_parallel(p, db, threads)
-        .into_iter()
-        .map(|h| h.restrict(&free))
-        .collect();
-    set.into_iter().collect()
-}
-
-/// [`evaluate_parallel`] under a cancel token — the entry point the query
-/// service uses to enforce per-request deadlines.
-pub fn try_evaluate_parallel(
+/// The evaluator behind every entry point: all maximal homomorphisms from
+/// `p` to `db`, in no particular order. Fans out over up to `threads`
+/// worker threads (`0` means [`std::thread::available_parallelism`]);
+/// the answers never depend on `threads`.
+///
+/// `plan` supplies a static atom order per node; nodes it does not cover
+/// (or a plan built for a different tree shape) fall back to the dynamic
+/// most-constrained heuristic. `tally`, when given, receives the per-node
+/// homomorphism counts.
+pub(crate) fn maximal_homs(
     p: &Wdpt,
     db: &Database,
     threads: usize,
     token: &CancelToken,
+    plan: Option<&ExecPlan>,
+    tally: Option<&NodeTally>,
 ) -> Result<Vec<Mapping>, Cancelled> {
-    let free = p.free_set();
-    let set: BTreeSet<Mapping> = try_maximal_homomorphisms_parallel(p, db, threads, token)?
-        .into_iter()
-        .map(|h| h.restrict(&free))
-        .collect();
-    Ok(set.into_iter().collect())
+    let _span = span!("wdpt.eval");
+    let threads = if threads == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        threads
+    };
+    let run = Run {
+        p,
+        db,
+        plan,
+        tally,
+        token,
+    };
+    run.extensions(p.root(), &Mapping::empty(), threads)
 }
 
-/// [`try_evaluate_parallel`] executing an optional cost-based
-/// [`ExecPlan`]; see
+/// Deduplicates `homs` in canonical (sorted) order.
+fn canonical(homs: impl IntoIterator<Item = Mapping>) -> Vec<Mapping> {
+    let set: BTreeSet<Mapping> = homs.into_iter().collect();
+    set.into_iter().collect()
+}
+
+/// Projects maximal homomorphisms onto the free variables: `p(D)` in
+/// canonical order.
+pub(crate) fn project_free(p: &Wdpt, homs: Vec<Mapping>) -> Vec<Mapping> {
+    let free = p.free_set();
+    canonical(homs.into_iter().map(|h| h.restrict(&free)))
+}
+
+/// All maximal homomorphisms from `p` to `db` (on their various domains),
+/// in canonical order. Exponential in the size of the output; intended for
+/// exact small-scale semantics, tests, and the intractable baselines of
+/// the benchmarks.
+pub fn maximal_homomorphisms(p: &Wdpt, db: &Database) -> Vec<Mapping> {
+    canonical(maximal_homs(p, db, 1, CancelToken::never(), None, None).expect(NEVER))
+}
+
+/// The evaluation `p(D)`: projections of the maximal homomorphisms onto the
+/// free variables, deduplicated (Definition 2).
+pub fn evaluate(p: &Wdpt, db: &Database) -> Vec<Mapping> {
+    try_evaluate_parallel_planned(p, db, 1, CancelToken::never(), None).expect(NEVER)
+}
+
+/// The maximal-mapping semantics `p_m(D)` (Section 3.4): the ⊑-maximal
+/// elements of `p(D)`.
+pub fn evaluate_max(p: &Wdpt, db: &Database) -> Vec<Mapping> {
+    maximal_mappings(evaluate(p, db))
+}
+
+/// [`evaluate`] on up to `threads` worker threads (`0` auto-detects),
+/// under a cancel token, executing an optional cost-based [`ExecPlan`] —
+/// the entry point the query service uses. `Err(Cancelled)` if the token
+/// fires (or its deadline passes) mid-evaluation. Answers are identical
+/// for every thread count and with or without a plan; see
 /// [`try_evaluate_parallel_captured_planned`](crate::profile::try_evaluate_parallel_captured_planned)
-/// for the plan contract. Answers are identical with or without a plan.
+/// for the profiled variant.
 pub fn try_evaluate_parallel_planned(
     p: &Wdpt,
     db: &Database,
@@ -384,18 +281,10 @@ pub fn try_evaluate_parallel_planned(
     token: &CancelToken,
     plan: Option<&ExecPlan>,
 ) -> Result<Vec<Mapping>, Cancelled> {
-    let free = p.free_set();
-    let set: BTreeSet<Mapping> =
-        try_maximal_homomorphisms_parallel_tallied(p, db, threads, None, plan, token)?
-            .into_iter()
-            .map(|h| h.restrict(&free))
-            .collect();
-    Ok(set.into_iter().collect())
-}
-
-/// [`evaluate_max`] via the thread-parallel evaluator.
-pub fn evaluate_max_parallel(p: &Wdpt, db: &Database, threads: usize) -> Vec<Mapping> {
-    maximal_mappings(evaluate_parallel(p, db, threads))
+    Ok(project_free(
+        p,
+        maximal_homs(p, db, threads, token, plan, None)?,
+    ))
 }
 
 /// All homomorphisms from `p` to `db` (not only maximal ones): full
@@ -456,6 +345,16 @@ mod tests {
     use crate::tree::WdptBuilder;
     use wdpt_model::parse::{parse_atoms, parse_database, parse_mapping};
     use wdpt_model::Interner;
+
+    /// `p(D)` on `threads` workers through the general entry point.
+    fn evaluate_on(p: &Wdpt, db: &Database, threads: usize) -> Vec<Mapping> {
+        try_evaluate_parallel_planned(p, db, threads, CancelToken::never(), None).unwrap()
+    }
+
+    /// Maximal homomorphisms on `threads` workers, in canonical order.
+    fn maximal_homs_on(p: &Wdpt, db: &Database, threads: usize) -> Vec<Mapping> {
+        canonical(maximal_homs(p, db, threads, CancelToken::never(), None, None).unwrap())
+    }
 
     /// Figure 1 WDPT over the Example 2 database.
     fn example2(i: &mut Interner) -> (Wdpt, Database) {
@@ -617,13 +516,13 @@ mod tests {
         let mut i = Interner::new();
         let (p, db) = example2(&mut i);
         for threads in [0, 1, 2, 4, 16] {
-            assert_eq!(evaluate_parallel(&p, &db, threads), evaluate(&p, &db));
+            assert_eq!(evaluate_on(&p, &db, threads), evaluate(&p, &db));
             assert_eq!(
-                maximal_homomorphisms_parallel(&p, &db, threads),
+                maximal_homs_on(&p, &db, threads),
                 maximal_homomorphisms(&p, &db)
             );
             assert_eq!(
-                evaluate_max_parallel(&p, &db, threads),
+                maximal_mappings(evaluate_on(&p, &db, threads)),
                 evaluate_max(&p, &db)
             );
         }
@@ -636,7 +535,7 @@ mod tests {
         let p = WdptBuilder::new(root).build(vec![i.var("x")]).unwrap();
         let db = parse_database(&mut i, "a(1) a(2)").unwrap();
         let before = wdpt_model::stats::snapshot();
-        let ans = evaluate_parallel(&p, &db, 8);
+        let ans = evaluate_on(&p, &db, 8);
         let delta = wdpt_model::stats::snapshot().since(&before);
         assert_eq!(ans, evaluate(&p, &db));
         // No children means no work items, so nothing is fanned out.
@@ -655,7 +554,7 @@ mod tests {
         let p = b.build(free).unwrap();
         let db = parse_database(&mut i, "a(1) a(2) a(3) b(1,10) b(2,20) c(2,30) c(3,31)").unwrap();
         let before = wdpt_model::stats::snapshot();
-        let ans = evaluate_parallel(&p, &db, 4);
+        let ans = evaluate_on(&p, &db, 4);
         let delta = wdpt_model::stats::snapshot().since(&before);
         assert_eq!(ans, evaluate(&p, &db));
         assert_eq!(ans.len(), 3);
@@ -712,12 +611,12 @@ mod tests {
             let p = b.build(vec![x, y, z, w]).unwrap();
             let threads = 1 + next() % 5;
             assert_eq!(
-                evaluate_parallel(&p, &db, threads),
+                evaluate_on(&p, &db, threads),
                 evaluate(&p, &db),
                 "threads={threads}"
             );
             assert_eq!(
-                evaluate_max_parallel(&p, &db, threads),
+                maximal_mappings(evaluate_on(&p, &db, threads)),
                 evaluate_max(&p, &db),
                 "threads={threads}"
             );
@@ -730,20 +629,20 @@ mod tests {
         let (p, db) = example2(&mut i);
         let token = wdpt_model::CancelToken::new();
         token.cancel();
-        assert_eq!(try_evaluate(&p, &db, &token), Err(wdpt_model::Cancelled));
         for threads in [1, 4] {
             assert_eq!(
-                try_evaluate_parallel(&p, &db, threads, &token),
+                try_evaluate_parallel_planned(&p, &db, threads, &token, None),
                 Err(wdpt_model::Cancelled)
             );
         }
         // A live token changes nothing about the answers.
         let live = wdpt_model::CancelToken::new();
-        assert_eq!(try_evaluate(&p, &db, &live).unwrap(), evaluate(&p, &db));
-        assert_eq!(
-            try_evaluate_parallel(&p, &db, 4, &live).unwrap(),
-            evaluate_parallel(&p, &db, 4)
-        );
+        for threads in [1, 4] {
+            assert_eq!(
+                try_evaluate_parallel_planned(&p, &db, threads, &live, None).unwrap(),
+                evaluate(&p, &db)
+            );
+        }
     }
 
     #[test]

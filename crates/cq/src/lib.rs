@@ -31,10 +31,7 @@ pub mod quotient;
 pub mod structured;
 pub mod widths;
 
-pub use backtrack::{
-    evaluate, extend_all, extend_exists, try_extend_all, try_extend_all_ordered, try_extend_exists,
-    try_extend_exists_ordered, BacktrackConfig,
-};
+pub use backtrack::{evaluate, extend_all, extend_exists, try_extend_all, try_extend_all_ordered};
 pub use containment::{contained_in, equivalent, freeze};
 pub use core_of::{core_of, try_core_of};
 pub use counting::count_homomorphisms;

@@ -6,6 +6,7 @@
 //! Each kind (variable / constant / predicate) has its own namespace: the
 //! variable `x` and the constant `x` receive independent ids.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -25,7 +26,11 @@ impl Hasher for Fnv1a {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 { 0xcbf2_9ce4_8422_2325 } else { self.0 };
+        let mut h = if self.0 == 0 {
+            0xcbf2_9ce4_8422_2325
+        } else {
+            self.0
+        };
         for &b in bytes {
             h ^= u64::from(b);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -314,10 +319,11 @@ impl Interner {
                 return None;
             }
             out.names.push((space, name));
-            if out.lookup.contains_key(&hash) {
-                out.overflow.push((hash, id));
-            } else {
-                out.lookup.insert(hash, id);
+            match out.lookup.entry(hash) {
+                Entry::Occupied(_) => out.overflow.push((hash, id)),
+                Entry::Vacant(slot) => {
+                    slot.insert(id);
+                }
             }
         }
         out.fresh_counter = fresh_counter;

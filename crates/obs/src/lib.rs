@@ -9,7 +9,7 @@
 //!
 //! * [`span`] — hierarchical scoped timers ([`span!`] guards) with
 //!   thread-local span stacks. Aggregation is per-site into process-wide
-//!   relaxed atomics, so the worker threads of `evaluate_parallel`
+//!   relaxed atomics, so the worker threads of the wdPT evaluator
 //!   contribute to the same aggregates and a snapshot taken around joined
 //!   work is exact. Tracing is off by default; a disabled [`span!`] costs
 //!   one relaxed atomic load (measured < 2% on the `wdpt_eval` bench, see

@@ -6,7 +6,7 @@
 //! much of its wall time was spent inside nested spans (`child_ns`), which
 //! lets reports show exclusive (self) time. Aggregation is per-site into
 //! process-wide relaxed atomics, so spans recorded on the scoped worker
-//! threads of `evaluate_parallel` merge into the same aggregates and a
+//! threads of the wdPT evaluator merge into the same aggregates and a
 //! snapshot taken around joined work is exact.
 //!
 //! Tracing is **off by default**: a disabled [`span!`] reads one relaxed
@@ -225,12 +225,22 @@ pub fn with_tracing<T>(f: impl FnOnce() -> T) -> T {
     out
 }
 
+/// Serializes the unit tests that flip or depend on the process-global
+/// tracing flag; tests in one binary run concurrently and would otherwise
+/// observe each other's flag changes.
+#[cfg(test)]
+pub(crate) fn tracing_flag_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn disabled_spans_record_nothing() {
+        let _flag = tracing_flag_lock();
         let prev = set_tracing(false);
         register_span("test.span.disabled");
         let before = span_snapshot();
@@ -244,6 +254,7 @@ mod tests {
 
     #[test]
     fn nested_spans_attribute_child_time() {
+        let _flag = tracing_flag_lock();
         with_tracing(|| {
             let before = span_snapshot();
             {
@@ -268,6 +279,7 @@ mod tests {
 
     #[test]
     fn spans_aggregate_across_scoped_threads() {
+        let _flag = tracing_flag_lock();
         with_tracing(|| {
             register_span("test.span.worker");
             let before = span_snapshot();

@@ -7,12 +7,13 @@
 
 use std::collections::BTreeSet;
 use wdpt::core::{
-    eval_bounded_interface, eval_decide, max_eval_decide, partial_eval_decide, semantics, Engine,
-    Wdpt, WdptBuilder,
+    eval_bounded_interface, eval_decide, max_eval_decide, partial_eval_decide, semantics,
+    try_evaluate_parallel_captured_planned, Engine, Wdpt, WdptBuilder,
 };
 use wdpt::cq::{backtrack, structured, ConjunctiveQuery};
 use wdpt::gen::Lcg;
-use wdpt::model::{Atom, Database, Interner, Mapping, Var};
+use wdpt::model::mapping::maximal_mappings;
+use wdpt::model::{Atom, CancelToken, Database, Interner, Mapping, Var};
 
 /// A random fact list over `e/2`, `f/2` with constants `c0..c{dom}`:
 /// triples `(predicate, subject, object)`.
@@ -261,16 +262,23 @@ fn parallel_evaluator_agrees_with_sequential() {
         let p = wdpt::gen::random_wdpt(&mut i, 1 + r.gen_range(0..7), &mut r);
         let threads = r.gen_range(0..6);
         let sequential = semantics::evaluate(&p, &db);
-        let parallel = semantics::evaluate_parallel(&p, &db, threads);
+        let never = CancelToken::never();
+        let parallel = semantics::try_evaluate_parallel_planned(&p, &db, threads, never, None)
+            .expect("the never token cannot cancel");
         assert_eq!(parallel, sequential, "case={case} threads={threads}");
         assert_eq!(
-            semantics::evaluate_max_parallel(&p, &db, threads),
+            maximal_mappings(parallel),
             semantics::evaluate_max(&p, &db),
             "case={case} threads={threads}"
         );
+        // Per-node homomorphism tallies are exact: the fanned-out run finds
+        // the same local homomorphisms at every node as the inline one.
+        let (_, seq_profile) =
+            try_evaluate_parallel_captured_planned(&p, &db, 1, never, "seq", None);
+        let (_, par_profile) =
+            try_evaluate_parallel_captured_planned(&p, &db, threads, never, "par", None);
         assert_eq!(
-            semantics::maximal_homomorphisms_parallel(&p, &db, threads),
-            semantics::maximal_homomorphisms(&p, &db),
+            par_profile.nodes, seq_profile.nodes,
             "case={case} threads={threads}"
         );
     }
