@@ -289,7 +289,7 @@ pub fn section(title: &str) {
 
 /// Minimum measured wall-clock per bench case, in seconds; override with
 /// the `BENCH_MIN_RUNTIME` environment variable.
-fn bench_min_runtime() -> f64 {
+pub fn bench_min_runtime() -> f64 {
     std::env::var("BENCH_MIN_RUNTIME")
         .ok()
         .and_then(|s| s.parse().ok())

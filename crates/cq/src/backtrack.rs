@@ -8,10 +8,16 @@
 //! the paper's tractable classes are designed to avoid — but it serves as
 //! (a) the general-purpose fallback and (b) the baseline the benchmark
 //! harness compares the structured engines against.
+//!
+//! Each search compiles its atoms into slot programs over a dense binding
+//! array, reuses one pattern buffer per depth, builds a [`Mapping`] only at
+//! answers, and tallies its engine counters locally, adding them to the
+//! registry once when it returns (DESIGN.md §14).
 
 use crate::query::ConjunctiveQuery;
-use std::cell::Cell;
-use wdpt_model::{Atom, CancelToken, Cancelled, Const, Database, Mapping, Term};
+use std::cmp::Reverse;
+use wdpt_model::stats::Tally;
+use wdpt_model::{Atom, CancelToken, Cancelled, Const, Database, Mapping, Relation, Term, Var};
 
 /// How a search should proceed after each discovered homomorphism.
 enum Found {
@@ -21,171 +27,254 @@ enum Found {
     Cancelled,
 }
 
-/// Per-search cancellation state: the shared token plus the step counter
-/// that amortizes its deadline clock checks (a `Cell` so the recursive
-/// search can bump it through a shared reference).
+/// Per-search control state: the shared cancel token, the step counter
+/// that amortizes its deadline clock checks, and the search's engine
+/// counters in plain integers, added to the registry once when the search
+/// ends ([`run`]).
 struct Ctl<'a> {
     token: &'a CancelToken,
-    steps: Cell<u32>,
+    steps: u32,
+    tally: Tally,
 }
 
-impl<'a> Ctl<'a> {
-    fn new(token: &'a CancelToken) -> Ctl<'a> {
-        Ctl {
-            token,
-            steps: Cell::new(0),
-        }
-    }
-
+impl Ctl<'_> {
     /// One relaxed load per call — the same fast-path budget as the obs
     /// enabled-flag — with the clock consulted only every ~1k steps.
     #[inline]
-    fn cancelled(&self) -> bool {
-        let mut steps = self.steps.get();
-        let stop = self.token.should_stop(&mut steps);
-        self.steps.set(steps);
-        stop
+    fn cancelled(&mut self) -> bool {
+        self.token.should_stop(&mut self.steps)
     }
 }
 
-/// Returns the match pattern of `atom` under `h`: bound positions carry
-/// `Some(c)`.
-fn pattern(atom: &Atom, h: &Mapping) -> Vec<Option<Const>> {
-    atom.args
-        .iter()
-        .map(|t| match t {
-            Term::Const(c) => Some(*c),
-            Term::Var(v) => h.get(*v),
-        })
-        .collect()
+/// One atom argument, compiled against the search's variable slots.
+#[derive(Debug, Clone, Copy)]
+enum Arg {
+    Const(Const),
+    Slot(usize),
 }
 
-/// Estimated number of matching tuples for ordering heuristics: exact for
-/// fully-bound atoms, the shortest posting list among bound columns for
-/// partially-bound atoms (the seed returned `rel.len()` there, which
-/// mis-ranked selective partially-bound atoms behind small relations), and
-/// the relation size for unbound atoms.
-pub(crate) fn estimate(db: &Database, atom: &Atom, h: &Mapping) -> usize {
-    db.relation(atom.pred)
-        .map_or(0, |rel| rel.estimate_matching(&pattern(atom, h)))
+/// One atom compiled for a search: its relation and its arguments.
+struct AtomProgram<'a> {
+    /// `None` when the database holds no tuple of the atom's predicate and
+    /// arity: the atom matches nothing.
+    rel: Option<&'a Relation>,
+    args: Vec<Arg>,
 }
 
-/// One backtracking search over `atoms`: the fixed inputs shared by every
-/// recursion level. With an `order`, the atom processed at depth `d` is
-/// `atoms[order[d]]`; without one, each step re-selects the most
-/// constrained unprocessed atom.
-struct Search<'a> {
-    db: &'a Database,
-    atoms: &'a [Atom],
-    order: Option<&'a [usize]>,
-    ctl: Ctl<'a>,
-}
+impl AtomProgram<'_> {
+    /// Writes the atom's match pattern under `slots` into `pat` (the
+    /// atom's arity long): bound positions carry `Some(c)`. Returns the
+    /// number of bound positions.
+    fn fill_pattern(&self, slots: &[Option<Const>], pat: &mut [Option<Const>]) -> usize {
+        let mut bound = 0;
+        for (p, arg) in pat.iter_mut().zip(&self.args) {
+            *p = match *arg {
+                Arg::Const(c) => Some(c),
+                Arg::Slot(s) => slots[s],
+            };
+            bound += usize::from(p.is_some());
+        }
+        bound
+    }
 
-impl Search<'_> {
-    fn next_atom(&self, depth: usize, done: &[bool], h: &Mapping) -> Option<usize> {
-        match self.order {
-            Some(order) => order.get(depth).copied(),
-            None => self
-                .atoms
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| !done[i])
-                .max_by_key(|&(_, a)| {
-                    let bound = pattern(a, h).iter().filter(|p| p.is_some()).count();
-                    // Prefer many bound positions; break ties toward few matches.
-                    (bound, usize::MAX - estimate(self.db, a, h))
-                })
-                .map(|(i, _)| i),
+    /// Extends `slots` by `tuple`, a candidate for pattern `pat`. Checks
+    /// every position, so the candidate filter and the equality of
+    /// repeated variables are one pass. On a mismatch nothing stays bound.
+    #[inline]
+    fn bind(&self, tuple: &[Const], pat: &[Option<Const>], slots: &mut [Option<Const>]) -> bool {
+        for (arg, &v) in self.args.iter().zip(tuple) {
+            let ok = match *arg {
+                Arg::Const(c) => c == v,
+                Arg::Slot(s) => *slots[s].get_or_insert(v) == v,
+            };
+            if !ok {
+                self.unbind(pat, slots);
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Undoes [`AtomProgram::bind`]: the slots it bound are exactly those
+    /// at the positions `pat` leaves unbound, the same for every candidate.
+    #[inline]
+    fn unbind(&self, pat: &[Option<Const>], slots: &mut [Option<Const>]) {
+        for (arg, p) in self.args.iter().zip(pat) {
+            if let (Arg::Slot(s), None) = (arg, p) {
+                slots[*s] = None;
+            }
         }
     }
+}
 
-    fn search<F: FnMut(&Mapping) -> Found>(
-        &self,
+/// The atoms of one search compiled into slot programs: variable
+/// `vars[s]` lives in slot `s`, so bindings are a dense array rather than
+/// a sorted map, and a homomorphism is read off the slots in variable
+/// order.
+struct Program<'a> {
+    vars: Vec<Var>,
+    atoms: Vec<AtomProgram<'a>>,
+    /// The largest atom arity: the length of one depth's pattern buffer.
+    width: usize,
+}
+
+impl<'a> Program<'a> {
+    fn compile(db: &'a Database, atoms: &[Atom]) -> Program<'a> {
+        let mut vars: Vec<Var> = atoms.iter().flat_map(Atom::vars).collect();
+        vars.sort_unstable();
+        vars.dedup();
+        let atoms: Vec<AtomProgram<'a>> = atoms
+            .iter()
+            .map(|atom| AtomProgram {
+                rel: db
+                    .relation(atom.pred)
+                    .filter(|rel| rel.arity() == atom.args.len()),
+                args: atom
+                    .args
+                    .iter()
+                    .map(|t| match *t {
+                        Term::Const(c) => Arg::Const(c),
+                        Term::Var(v) => Arg::Slot(vars.binary_search(&v).expect("collected above")),
+                    })
+                    .collect(),
+            })
+            .collect();
+        let width = atoms.iter().map(|a| a.args.len()).max().unwrap_or(0);
+        Program { vars, atoms, width }
+    }
+
+    /// The initial slots: `seed`'s bindings of the atoms' variables.
+    fn seed_slots(&self, seed: &Mapping) -> Vec<Option<Const>> {
+        self.vars.iter().map(|&v| seed.get(v)).collect()
+    }
+
+    /// The homomorphism in `slots` once every atom is matched.
+    fn answer(&self, slots: &[Option<Const>]) -> Mapping {
+        Mapping::from_sorted(
+            self.vars
+                .iter()
+                .zip(slots)
+                .map(|(&v, c)| (v, c.expect("every slot is bound at an answer"))),
+        )
+    }
+}
+
+/// One backtracking search over a compiled program: the fixed inputs
+/// shared by every recursion level. With an `order`, the atom processed at
+/// depth `d` is `atoms[order[d]]`; without one, each step re-selects the
+/// most constrained unprocessed atom.
+struct Search<'p, F> {
+    prog: &'p Program<'p>,
+    order: Option<&'p [usize]>,
+    ctl: Ctl<'p>,
+    on_hom: F,
+}
+
+impl<F: FnMut(Mapping) -> Found> Search<'_, F> {
+    /// The atom to match at `depth`. The dynamic order takes the atom with
+    /// the most bound positions, then the fewest estimated matches, and the
+    /// last such atom on ties; `pat` is the depth's scratch buffer.
+    fn next_atom(
+        &mut self,
+        depth: usize,
+        done: &[bool],
+        slots: &[Option<Const>],
+        pat: &mut [Option<Const>],
+    ) -> Option<usize> {
+        if let Some(order) = self.order {
+            return order.get(depth).copied();
+        }
+        let mut best: Option<(usize, (usize, Reverse<usize>))> = None;
+        for (i, atom) in self.prog.atoms.iter().enumerate() {
+            if done[i] {
+                continue;
+            }
+            let pat = &mut pat[..atom.args.len()];
+            let bound = atom.fill_pattern(slots, pat);
+            let estimate = atom
+                .rel
+                .map_or(0, |rel| rel.estimate_with(pat, &mut self.ctl.tally));
+            let key = (bound, Reverse(estimate));
+            if best.is_none_or(|(_, k)| key >= k) {
+                best = Some((i, key));
+            }
+        }
+        best.map(|(i, _)| i)
+    }
+
+    /// Matches the atoms from `depth` on. `scratch` holds one pattern
+    /// buffer of `prog.width` per remaining depth.
+    fn search(
+        &mut self,
         depth: usize,
         done: &mut [bool],
-        h: &mut Mapping,
-        on_hom: &mut F,
+        slots: &mut [Option<Const>],
+        scratch: &mut [Option<Const>],
     ) -> Found {
         if self.ctl.cancelled() {
             return Found::Cancelled;
         }
-        let Some(i) = self.next_atom(depth, done, h) else {
-            return on_hom(h);
+        let (pat, deeper) = scratch.split_at_mut(self.prog.width);
+        let Some(i) = self.next_atom(depth, done, slots, pat) else {
+            return (self.on_hom)(self.prog.answer(slots));
         };
+        self.ctl.tally.nodes_expanded += 1;
+        let prog = self.prog;
+        let atom = &prog.atoms[i];
+        let Some(rel) = atom.rel else {
+            return Found::Continue; // empty relation: no match, backtrack
+        };
+        let pat = &mut pat[..atom.args.len()];
+        atom.fill_pattern(slots, pat);
         done[i] = true;
-        wdpt_model::stats::record_node_expanded();
-        let atom = &self.atoms[i];
-        let result = (|| {
-            let Some(rel) = self.db.relation(atom.pred) else {
-                return Found::Continue; // empty relation: no match, backtrack
-            };
-            let pat = pattern(atom, h);
-            // Iterate the postings directly — `db` is borrowed immutably for
-            // the whole search, only `h`/`done` mutate, so there is no need
-            // to materialize a `Vec<Vec<Const>>` of matches at every search
-            // node (the seed did, making allocation the dominant cost on
-            // large relations).
-            for tuple in rel.matching(&pat) {
-                // Extend h with the new bindings; tuples matching `pat` can
-                // only conflict through repeated variables inside this atom.
-                let mut added: Vec<wdpt_model::Var> = Vec::new();
-                let mut ok = true;
-                for (term, value) in atom.args.iter().zip(tuple.iter()) {
-                    if let Term::Var(v) = term {
-                        if let Some(existing) = h.get(*v) {
-                            if existing != *value {
-                                ok = false;
-                                break;
-                            }
-                        } else {
-                            h.insert(*v, *value);
-                            added.push(*v);
-                        }
-                    }
-                }
-                if ok {
-                    match self.search(depth + 1, done, h, on_hom) {
-                        Found::Continue => {}
-                        stop => {
-                            for v in added {
-                                h.remove(v);
-                            }
-                            return stop;
-                        }
-                    }
-                }
-                for v in added {
-                    h.remove(v);
-                }
+        let mut found = Found::Continue;
+        for tuple in rel.candidates(pat, &mut self.ctl.tally) {
+            self.ctl.tally.tuples_scanned += 1;
+            if !atom.bind(tuple, pat, slots) {
+                continue;
             }
-            Found::Continue
-        })();
+            found = self.search(depth + 1, done, slots, deeper);
+            atom.unbind(pat, slots);
+            if !matches!(found, Found::Continue) {
+                break;
+            }
+        }
         done[i] = false;
-        result
+        found
     }
 }
 
-/// The single setup entry of every search: restricts `seed` to the atoms'
-/// variables (so reported homomorphisms have exactly those as domain) and
-/// runs the backtracking search, calling `on_hom` on each homomorphism.
-/// `order`, when given, must be a permutation of `0..atoms.len()`.
-fn run<F: FnMut(&Mapping) -> Found>(
+/// The single setup entry of every search: compiles the atoms, seeds the
+/// slots with `seed`'s bindings of the atoms' variables (so reported
+/// homomorphisms have exactly those as domain) and runs the backtracking
+/// search, calling `on_hom` on each homomorphism. The search's counters
+/// reach the registry once, whatever the outcome. `order`, when given,
+/// must be a permutation of `0..atoms.len()`.
+fn run<F: FnMut(Mapping) -> Found>(
     db: &Database,
     atoms: &[Atom],
     order: Option<&[usize]>,
     seed: &Mapping,
     token: &CancelToken,
-    mut on_hom: F,
+    on_hom: F,
 ) -> Found {
-    let s = Search {
-        db,
-        atoms,
-        order,
-        ctl: Ctl::new(token),
-    };
+    let prog = Program::compile(db, atoms);
+    let mut slots = prog.seed_slots(seed);
     let mut done = vec![false; atoms.len()];
-    let mut h = seed.restrict(&wdpt_model::atom::vars_of_atoms(atoms));
-    s.search(0, &mut done, &mut h, &mut on_hom)
+    let mut scratch = vec![None; (atoms.len() + 1) * prog.width];
+    let mut s = Search {
+        prog: &prog,
+        order,
+        ctl: Ctl {
+            token,
+            steps: 0,
+            tally: Tally::new(),
+        },
+        on_hom,
+    };
+    let found = s.search(0, &mut done, &mut slots, &mut scratch);
+    s.ctl.tally.flush();
+    found
 }
 
 /// Collects every homomorphism of one search.
@@ -199,7 +288,7 @@ fn collect_all(
     let _span = wdpt_obs::span!("cq.backtrack.extend_all");
     let mut out = Vec::new();
     match run(db, atoms, order, seed, token, |hom| {
-        out.push(hom.clone());
+        out.push(hom);
         Found::Continue
     }) {
         Found::Cancelled => Err(Cancelled),
@@ -396,13 +485,20 @@ mod tests {
         let db = parse_database(&mut i, &spec).unwrap();
         let atoms = parse_atoms(&mut i, "big(?x,?y), small(?z,?w)").unwrap();
         let seed = parse_mapping(&mut i, "?y -> t7").unwrap();
+        let prog = Program::compile(&db, &atoms);
+        let estimate = |atom: usize, seed: &Mapping| {
+            let atom = &prog.atoms[atom];
+            let mut pat = vec![None; atom.args.len()];
+            atom.fill_pattern(&prog.seed_slots(seed), &mut pat);
+            atom.rel.unwrap().estimate_with(&pat, &mut Tally::default())
+        };
         // Bound on ?y, the big atom has a 1-element posting list; the seed
         // implementation returned rel.len() = 60 and ranked it *behind* the
         // unbound small atom (10).
-        assert_eq!(estimate(&db, &atoms[0], &seed), 1);
-        assert_eq!(estimate(&db, &atoms[1], &seed), 10);
+        assert_eq!(estimate(0, &seed), 1);
+        assert_eq!(estimate(1, &seed), 10);
         // Unbound, the big atom estimates its full size.
-        assert_eq!(estimate(&db, &atoms[0], &Mapping::empty()), 60);
+        assert_eq!(estimate(0, &Mapping::empty()), 60);
     }
 
     #[test]

@@ -17,11 +17,10 @@
 
 use crate::atom::Atom;
 use crate::interner::Interner;
-use crate::stats;
+use crate::stats::{self, Tally};
 use crate::term::{Const, Pred};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::OnceLock;
-use wdpt_obs::histogram;
 
 /// Iterator adapter that tallies how many candidate tuples pass through it
 /// and flushes the tally as **one** batched counter update on drop. The
@@ -59,6 +58,41 @@ impl<I: Iterator> Iterator for CountScans<I> {
 impl<I> Drop for CountScans<I> {
     fn drop(&mut self) {
         stats::record_tuples_scanned(self.scanned);
+    }
+}
+
+/// The candidate tuples of one match pattern, unfiltered: the posting list
+/// of its most selective bound column, or every tuple when no column is
+/// bound (see [`Relation::candidates`]). A concrete type, so the search
+/// kernel's innermost loop is not a virtual call.
+#[derive(Debug, Clone)]
+pub struct Candidates<'a>(Source<'a>);
+
+#[derive(Debug, Clone)]
+enum Source<'a> {
+    Posting {
+        rows: std::slice::Iter<'a, u32>,
+        tuples: &'a [Box<[Const]>],
+    },
+    Scan(std::slice::Iter<'a, Box<[Const]>>),
+}
+
+impl<'a> Iterator for Candidates<'a> {
+    type Item = &'a [Const];
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a [Const]> {
+        match &mut self.0 {
+            Source::Posting { rows, tuples } => rows.next().map(|&row| &*tuples[row as usize]),
+            Source::Scan(tuples) => tuples.next().map(|t| &**t),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match &self.0 {
+            Source::Posting { rows, .. } => rows.size_hint(),
+            Source::Scan(tuples) => tuples.size_hint(),
+        }
     }
 }
 
@@ -373,6 +407,33 @@ impl Relation {
         Ok(true)
     }
 
+    /// The posting list of `c` in column `col`, building the column index
+    /// if needed. Counts nothing; the public probes below count.
+    fn postings(&self, col: usize, c: Const) -> &[u32] {
+        self.index_for(col).get(&c).map_or(&[], Vec::as_slice)
+    }
+
+    /// The shortest posting list among the bound columns of `pattern`, with
+    /// its column (the first one on ties); `None` when nothing is bound.
+    /// Counts one index probe per bound column.
+    fn shortest_posting(
+        &self,
+        pattern: &[Option<Const>],
+        tally: &mut Tally,
+    ) -> Option<(usize, &[u32])> {
+        let mut best: Option<(usize, &[u32])> = None;
+        for (col, p) in pattern.iter().enumerate() {
+            if let Some(c) = p {
+                tally.index_probes += 1;
+                let rows = self.postings(col, *c);
+                if best.is_none_or(|(_, b)| rows.len() < b.len()) {
+                    best = Some((col, rows));
+                }
+            }
+        }
+        best
+    }
+
     fn index_for(&self, col: usize) -> &HashMap<Const, Vec<u32>> {
         self.column_index[col].get_or_init(|| {
             // A lazy relation whose tuples are still packed derives the
@@ -411,78 +472,78 @@ impl Relation {
     /// unbound. Never underestimates except for repeated-constant patterns,
     /// where the true count can only be smaller.
     pub fn estimate_matching(&self, pattern: &[Option<Const>]) -> usize {
+        let mut tally = Tally::new();
+        let n = self.estimate_with(pattern, &mut tally);
+        tally.flush();
+        n
+    }
+
+    /// [`Relation::estimate_matching`], counting its index probes into
+    /// `tally` instead of the registry. A fully-bound pattern is answered
+    /// from the posting lists alone: the tuple exists iff some row of the
+    /// shortest list appears in every other bound column's list, so neither
+    /// the membership set nor a lazy relation's tuple block is built.
+    pub fn estimate_with(&self, pattern: &[Option<Const>], tally: &mut Tally) -> usize {
         debug_assert_eq!(pattern.len(), self.arity);
-        let mut best: Option<usize> = None;
-        let mut fully_bound = true;
-        for (col, p) in pattern.iter().enumerate() {
-            match p {
-                Some(c) => {
-                    let len = self.posting_len(col, *c);
-                    if best.is_none_or(|b| len < b) {
-                        best = Some(len);
-                    }
+        let Some((col, rows)) = self.shortest_posting(pattern, tally) else {
+            return self.len();
+        };
+        if rows.is_empty() || pattern.iter().any(Option::is_none) {
+            return rows.len();
+        }
+        let in_every_list = |row: &u32| {
+            pattern.iter().enumerate().all(|(j, p)| {
+                j == col || p.is_some_and(|c| self.postings(j, c).binary_search(row).is_ok())
+            })
+        };
+        usize::from(rows.iter().any(in_every_list))
+    }
+
+    /// The candidate tuples for `pattern`, unfiltered: the posting list of
+    /// its most selective bound column, or every tuple when nothing is
+    /// bound. The caller filters; its candidate count is
+    /// `db.tuples_scanned`. Index probes (one per bound column) and the
+    /// probed posting-list length go to `tally`.
+    pub fn candidates<'a>(
+        &'a self,
+        pattern: &[Option<Const>],
+        tally: &mut Tally,
+    ) -> Candidates<'a> {
+        debug_assert_eq!(pattern.len(), self.arity);
+        // Probe before touching the tuple block: a lazy relation decodes
+        // its posting lists from the packed cells, which is only possible
+        // while the block is not yet materialized.
+        let best = self.shortest_posting(pattern, tally);
+        let tuples = self.tuple_vec();
+        Candidates(match best {
+            Some((_, rows)) => {
+                tally.record_posting_len(rows.len());
+                Source::Posting {
+                    rows: rows.iter(),
+                    tuples,
                 }
-                None => fully_bound = false,
             }
-        }
-        match best {
-            Some(0) => 0,
-            Some(_) if fully_bound => {
-                let t: Vec<Const> = pattern.iter().map(|c| c.unwrap()).collect();
-                usize::from(self.contains(&t))
-            }
-            Some(len) => len,
-            None => self.len(),
-        }
+            None => Source::Scan(tuples.iter()),
+        })
     }
 
     /// Iterates over tuples matching `pattern`: position `i` must equal
     /// `pattern[i]` when it is `Some(c)`. Uses the column index of the most
-    /// selective bound position when one exists.
+    /// selective bound position when one exists. Counts straight into the
+    /// registry; the search kernel uses [`Relation::candidates`] instead.
     pub fn matching<'a>(
         &'a self,
         pattern: &'a [Option<Const>],
-    ) -> Box<dyn Iterator<Item = &'a [Const]> + 'a> {
-        debug_assert_eq!(pattern.len(), self.arity);
-        // Pick the bound column whose posting list is shortest.
-        let mut best: Option<(usize, usize)> = None; // (column, postings len)
-        for (col, p) in pattern.iter().enumerate() {
-            if let Some(c) = p {
-                let len = self.posting_len(col, *c);
-                if best.is_none_or(|(_, bl)| len < bl) {
-                    best = Some((col, len));
-                }
-            }
-        }
-        let matches = move |t: &&[Const]| {
+    ) -> impl Iterator<Item = &'a [Const]> + 'a {
+        let mut tally = Tally::new();
+        let candidates = self.candidates(pattern, &mut tally);
+        tally.flush();
+        CountScans::new(candidates).filter(move |t| {
             pattern
                 .iter()
                 .zip(t.iter())
                 .all(|(p, v)| p.is_none_or(|c| c == *v))
-        };
-        match best {
-            Some((col, len)) => {
-                // Histogram recording costs several atomic RMWs per probe —
-                // too much for this hot path to pay unconditionally, so the
-                // distribution is only collected while tracing is on (i.e.
-                // during profiled runs).
-                if wdpt_obs::tracing_enabled() {
-                    histogram!("db.posting_list_len").record(len as u64);
-                }
-                let c = pattern[col].expect("bound column");
-                let postings = self
-                    .index_for(col)
-                    .get(&c)
-                    .map(Vec::as_slice)
-                    .unwrap_or(&[]);
-                let tuples = self.tuple_vec();
-                Box::new(
-                    CountScans::new(postings.iter().map(move |&i| &*tuples[i as usize]))
-                        .filter(matches),
-                )
-            }
-            None => Box::new(CountScans::new(self.tuples()).filter(matches)),
-        }
+        })
     }
 
     /// Forces full materialization and cross-checks every posting entry

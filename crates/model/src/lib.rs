@@ -38,7 +38,7 @@ pub mod term;
 pub use atom::Atom;
 pub use cancel::{CancelToken, Cancelled};
 pub use columnar::{ColumnSlices, ColumnarRelation};
-pub use database::{row_id, ColumnIndex, Database, Relation, TooManyRows};
+pub use database::{row_id, Candidates, ColumnIndex, Database, Relation, TooManyRows};
 pub use interner::{Interner, SymbolSpace};
 pub use mapping::Mapping;
 pub use stats::StatsSnapshot;

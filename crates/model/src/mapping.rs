@@ -36,6 +36,18 @@ impl Mapping {
         m
     }
 
+    /// Builds a mapping from pairs already in strictly ascending variable
+    /// order — one push per pair, no search. Ordering is checked in debug
+    /// builds only.
+    pub fn from_sorted(pairs: impl IntoIterator<Item = (Var, Const)>) -> Self {
+        let pairs: Vec<(Var, Const)> = pairs.into_iter().collect();
+        debug_assert!(
+            pairs.windows(2).all(|w| w[0].0 < w[1].0),
+            "Mapping::from_sorted: pairs not strictly ascending"
+        );
+        Mapping { pairs }
+    }
+
     /// Number of variables the mapping is defined on.
     pub fn len(&self) -> usize {
         self.pairs.len()

@@ -14,7 +14,7 @@
 //! evaluator. Snapshots taken while other threads are mid-run are
 //! approximate; take them around joined work for exact counts.
 
-use wdpt_obs::counter;
+use wdpt_obs::{counter, histogram, LocalHistogram};
 
 /// Registry name of the index-build counter.
 pub const INDEX_BUILDS: &str = "db.index_builds";
@@ -26,6 +26,55 @@ pub const TUPLES_SCANNED: &str = "db.tuples_scanned";
 pub const NODES_EXPANDED: &str = "cq.nodes_expanded";
 /// Registry name of the parallel work-item counter.
 pub const PARALLEL_TASKS: &str = "wdpt.parallel_tasks";
+/// Registry name of the histogram of probed posting-list lengths.
+pub(crate) const POSTING_LIST_LEN: &str = "db.posting_list_len";
+
+/// Engine counters tallied in plain integers by one search (or one match
+/// call) and added to the registry in one batch by [`Tally::flush`]. The
+/// probe and search loops of concurrent queries thus never write the
+/// shared counter cache lines per event; the registry still ends up with
+/// exactly the per-event totals.
+#[derive(Debug, Default)]
+pub struct Tally {
+    /// Posting-list lookups (`db.index_probes`).
+    pub index_probes: u64,
+    /// Candidate tuples read before the match filter (`db.tuples_scanned`).
+    pub tuples_scanned: u64,
+    /// Search nodes expanded (`cq.nodes_expanded`).
+    pub nodes_expanded: u64,
+    /// Lengths of the posting lists probed for matches
+    /// (`db.posting_list_len`), collected only while tracing is on.
+    posting_lens: Option<LocalHistogram>,
+}
+
+impl Tally {
+    /// An empty tally; it records posting-list lengths iff tracing is on
+    /// now.
+    pub fn new() -> Tally {
+        Tally {
+            posting_lens: wdpt_obs::tracing_enabled().then(LocalHistogram::default),
+            ..Tally::default()
+        }
+    }
+
+    /// Records the length of a posting list probed for matches.
+    #[inline]
+    pub(crate) fn record_posting_len(&mut self, len: usize) {
+        if let Some(h) = &mut self.posting_lens {
+            h.record(len as u64);
+        }
+    }
+
+    /// Adds the tally to the registry.
+    pub fn flush(self) {
+        counter!(INDEX_PROBES).add(self.index_probes);
+        counter!(TUPLES_SCANNED).add(self.tuples_scanned);
+        counter!(NODES_EXPANDED).add(self.nodes_expanded);
+        if let Some(h) = self.posting_lens {
+            histogram!(POSTING_LIST_LEN).merge(&h);
+        }
+    }
+}
 
 /// A point-in-time copy of the five engine counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -110,12 +159,6 @@ pub(crate) fn record_tuples_scanned(n: u64) {
     counter!(TUPLES_SCANNED).add(n);
 }
 
-/// Records one expanded search node (called by the CQ engines).
-#[inline]
-pub fn record_node_expanded() {
-    counter!(NODES_EXPANDED).incr();
-}
-
 /// Records one executed parallel work item (called by the WDPT evaluator).
 #[inline]
 pub fn record_parallel_task() {
@@ -167,7 +210,9 @@ mod tests {
     #[test]
     fn facade_and_registry_agree() {
         let before = snapshot();
-        record_node_expanded();
+        let mut tally = Tally::new();
+        tally.nodes_expanded += 1;
+        tally.flush();
         record_tuples_scanned(3);
         let delta = snapshot().since(&before);
         assert!(delta.nodes_expanded >= 1);

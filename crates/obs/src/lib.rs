@@ -41,7 +41,7 @@ pub use expo::{render_prometheus, sanitize_name, snapshot_from_json, snapshot_to
 pub use json::{read_json_line, write_json_line, Json};
 pub use metrics::{
     delta_scope, metrics_snapshot, Counter, CounterDelta, Gauge, HistogramDelta, HistogramSnapshot,
-    MetricsSnapshot, RawHistogram,
+    LocalHistogram, MetricsSnapshot, RawHistogram,
 };
 pub use profile::{DecompInfo, NodeEntry, PhaseEntry, ProfileRecorder, QueryProfile};
 pub use span::{

@@ -141,6 +141,22 @@ impl RawHistogram {
         self.buckets[Self::bucket_of(v)].fetch_add(1, Relaxed);
     }
 
+    /// Adds every observation of `local` in one batch: one relaxed RMW
+    /// per nonzero bucket instead of four per observation.
+    fn merge(&self, local: &LocalHistogram) {
+        if local.count == 0 {
+            return;
+        }
+        self.count.fetch_add(local.count, Relaxed);
+        self.sum.fetch_add(local.sum, Relaxed);
+        self.max.fetch_max(local.max, Relaxed);
+        for (bucket, &n) in self.buckets.iter().zip(&local.buckets) {
+            if n != 0 {
+                bucket.fetch_add(n, Relaxed);
+            }
+        }
+    }
+
     /// Number of observations so far.
     pub fn count(&self) -> u64 {
         self.count.load(Relaxed)
@@ -155,6 +171,40 @@ impl RawHistogram {
             max: self.max.load(Relaxed),
             buckets: self.buckets.iter().map(|b| b.load(Relaxed)).collect(),
         }
+    }
+}
+
+/// A histogram in plain integers, owned by one thread: a hot loop records
+/// into it without touching shared cache lines and adds the whole batch to
+/// a shared histogram once ([`Histogram::merge`]). Same bucket layout as
+/// [`RawHistogram`].
+#[derive(Debug)]
+pub struct LocalHistogram {
+    count: u64,
+    sum: u64,
+    max: u64,
+    buckets: [u64; HISTOGRAM_BUCKETS],
+}
+
+impl Default for LocalHistogram {
+    fn default() -> Self {
+        LocalHistogram {
+            count: 0,
+            sum: 0,
+            max: 0,
+            buckets: [0; HISTOGRAM_BUCKETS],
+        }
+    }
+}
+
+impl LocalHistogram {
+    /// Records one observation.
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(v);
+        self.max = self.max.max(v);
+        self.buckets[RawHistogram::bucket_of(v)] += 1;
     }
 }
 
@@ -177,6 +227,11 @@ impl Histogram {
     #[inline]
     pub fn record(&self, v: u64) {
         self.raw.record(v);
+    }
+
+    /// Adds a locally recorded batch (see [`LocalHistogram`]).
+    pub fn merge(&self, local: &LocalHistogram) {
+        self.raw.merge(local);
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
@@ -533,6 +588,27 @@ mod tests {
         assert_eq!(hs.buckets[1], 1); // the 1
         assert_eq!(hs.buckets[3], 2); // the 5s ∈ [4,8)
         assert!((hs.mean() - 202.2).abs() < 1e-9);
+    }
+
+    #[test]
+    fn merged_local_histogram_equals_direct_recording() {
+        let direct = register_histogram("test.metrics.direct");
+        let merged = register_histogram("test.metrics.merged");
+        let before = metrics_snapshot();
+        let mut local = LocalHistogram::default();
+        for v in [0u64, 1, 5, 5, 1000, u64::MAX] {
+            direct.record(v);
+            local.record(v);
+        }
+        merged.merge(&local);
+        merged.merge(&LocalHistogram::default()); // an empty batch is a no-op
+        let d = metrics_snapshot().since(&before);
+        let (a, b) = (
+            d.histogram("test.metrics.direct").unwrap(),
+            d.histogram("test.metrics.merged").unwrap(),
+        );
+        assert_eq!((a.count, a.sum, a.max), (b.count, b.sum, b.max));
+        assert_eq!(a.buckets, b.buckets);
     }
 
     #[test]

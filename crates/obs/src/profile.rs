@@ -8,14 +8,15 @@
 //! JSON ([`QueryProfile::to_json`]).
 //!
 //! The [`ProfileRecorder`] brackets a query: `start` snapshots the span and
-//! metric registries and force-enables tracing; `finish` restores the
-//! previous tracing state and diffs the snapshots. Because the underlying
-//! aggregates are process-wide, deltas are exact only when nothing else runs
-//! concurrently — fine for the CLI binaries and benches this is built for.
+//! metric registries and holds tracing on (a counted `TracingGuard`, so
+//! overlapping recorders compose); `finish` releases it and diffs the
+//! snapshots. Because the underlying aggregates are process-wide, deltas
+//! are exact only when nothing else runs concurrently — fine for the CLI
+//! binaries and benches this is built for.
 
 use crate::json::Json;
 use crate::metrics::{metrics_snapshot, HistogramSnapshot, MetricsSnapshot};
-use crate::span::{set_tracing, span_snapshot, SpanSnapshot};
+use crate::span::{span_snapshot, SpanSnapshot, TracingGuard};
 use std::time::Instant;
 
 /// One instrumented phase: the delta of one span site over the query.
@@ -82,7 +83,7 @@ pub struct QueryProfile {
 pub struct ProfileRecorder {
     label: String,
     started: Instant,
-    prev_tracing: bool,
+    tracing: TracingGuard,
     spans_before: SpanSnapshot,
     metrics_before: MetricsSnapshot,
     nodes: Vec<NodeEntry>,
@@ -90,16 +91,16 @@ pub struct ProfileRecorder {
 }
 
 impl ProfileRecorder {
-    /// Starts recording: snapshots the registries and enables tracing
-    /// (restored by [`finish`](Self::finish)).
+    /// Starts recording: snapshots the registries and holds tracing on
+    /// until [`finish`](Self::finish).
     pub fn start(label: impl Into<String>) -> ProfileRecorder {
         let spans_before = span_snapshot();
         let metrics_before = metrics_snapshot();
-        let prev_tracing = set_tracing(true);
+        let tracing = TracingGuard::new();
         ProfileRecorder {
             label: label.into(),
             started: Instant::now(),
-            prev_tracing,
+            tracing,
             spans_before,
             metrics_before,
             nodes: Vec::new(),
@@ -117,11 +118,11 @@ impl ProfileRecorder {
         self.decomposition = Some(info);
     }
 
-    /// Stops recording, restores the previous tracing state, and builds the
+    /// Stops recording, releases its hold on tracing, and builds the
     /// profile from the snapshot deltas.
     pub fn finish(self, answers: u64) -> QueryProfile {
         let wall_ns = self.started.elapsed().as_nanos() as u64;
-        set_tracing(self.prev_tracing);
+        drop(self.tracing);
         let span_delta = span_snapshot().since(&self.spans_before);
         let metrics_delta = metrics_snapshot().since(&self.metrics_before);
         let phases = span_delta
@@ -375,6 +376,28 @@ mod tests {
         let _ = rec.finish(0);
         assert!(!crate::span::tracing_enabled());
         crate::span::set_tracing(prev);
+    }
+
+    #[test]
+    fn overlapping_recorders_keep_tracing_on_until_the_last_finishes() {
+        use crate::span::{set_tracing, tracing_enabled};
+        let _flag = crate::span::tracing_flag_lock();
+        let prev = set_tracing(false);
+        assert!(!tracing_enabled(), "before");
+        // A-start, B-start, A-finish, B-finish: the interleaving a swapped
+        // flag got wrong (off during B, stuck on afterwards).
+        let a = ProfileRecorder::start("A");
+        let b = ProfileRecorder::start("B");
+        let _ = a.finish(0);
+        assert!(tracing_enabled(), "during B");
+        let _ = b.finish(0);
+        assert!(!tracing_enabled(), "after");
+        // The explicit flag is independent of the recorders.
+        set_tracing(true);
+        let c = ProfileRecorder::start("C");
+        let _ = c.finish(0);
+        assert!(tracing_enabled(), "explicit flag survives a recorder");
+        set_tracing(prev);
     }
 
     #[test]

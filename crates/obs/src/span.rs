@@ -11,26 +11,58 @@
 //!
 //! Tracing is **off by default**: a disabled [`span!`] reads one relaxed
 //! atomic and returns an inert guard — no `OnceLock`, no `Instant::now`,
-//! no thread-local traffic. `wdpt_core::profile` flips the flag for the
+//! no thread-local traffic. `wdpt_core::profile` holds it on for the
 //! duration of a profiled evaluation.
 
 use std::cell::RefCell;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// The tracing state in one word, so the hot-path check stays one relaxed
+/// load: bit 0 is the explicit [`set_tracing`] flag, the bits above it
+/// count the active [`TracingGuard`]s. Tracing is on while any bit is set.
+static ENABLED: AtomicU64 = AtomicU64::new(0);
+const EXPLICIT: u64 = 1;
+const ONE_GUARD: u64 = 2;
 
-/// Globally enables or disables span timing. Returns the previous value.
+/// Globally enables or disables span timing. Returns the previous value of
+/// the explicit flag. Running [`ProfileRecorder`](crate::ProfileRecorder)s
+/// and [`with_tracing`] sections keep tracing on regardless.
 pub fn set_tracing(on: bool) -> bool {
-    ENABLED.swap(on, Relaxed)
+    let prev = if on {
+        ENABLED.fetch_or(EXPLICIT, Relaxed)
+    } else {
+        ENABLED.fetch_and(!EXPLICIT, Relaxed)
+    };
+    prev & EXPLICIT != 0
 }
 
 /// True iff span timing is currently enabled.
 #[inline]
 pub fn tracing_enabled() -> bool {
-    ENABLED.load(Relaxed)
+    ENABLED.load(Relaxed) != 0
+}
+
+/// Keeps tracing on while it lives. Guards are counted rather than
+/// swapping the flag, so overlapping holders (profiled queries on several
+/// workers) cannot switch tracing off under each other or leave it stuck on.
+#[derive(Debug)]
+pub(crate) struct TracingGuard(());
+
+impl TracingGuard {
+    /// Turns tracing on until the guard drops.
+    pub(crate) fn new() -> TracingGuard {
+        ENABLED.fetch_add(ONE_GUARD, Relaxed);
+        TracingGuard(())
+    }
+}
+
+impl Drop for TracingGuard {
+    fn drop(&mut self) {
+        ENABLED.fetch_sub(ONE_GUARD, Relaxed);
+    }
 }
 
 /// One instrumented scope: a static name plus its process-wide aggregates.
@@ -216,13 +248,11 @@ pub fn span_snapshot() -> SpanSnapshot {
     SpanSnapshot { entries }
 }
 
-/// Runs `f` with tracing forced on, restoring the previous state after.
-/// Used by tests and the profile recorder.
+/// Runs `f` with tracing held on. Holds nest and overlap across threads:
+/// tracing stays on until the last one ends.
 pub fn with_tracing<T>(f: impl FnOnce() -> T) -> T {
-    let prev = set_tracing(true);
-    let out = f();
-    set_tracing(prev);
-    out
+    let _on = TracingGuard::new();
+    f()
 }
 
 /// Serializes the unit tests that flip or depend on the process-global

@@ -172,6 +172,45 @@ fn v2_decode_is_lazy_and_stats_scans_stay_lazy() {
 }
 
 #[test]
+fn v2_fully_bound_estimate_is_exact_and_keeps_the_relation_lazy() {
+    let mut i = Interner::new();
+    let e = i.pred("e");
+    let consts: Vec<_> = (0..12).map(|k| i.constant(&format!("c{k}"))).collect();
+    let ghost = i.constant("ghost");
+    let mut db = Database::new();
+    let mut rng = Lcg::new(17);
+    for _ in 0..60 {
+        db.insert(
+            e,
+            vec![
+                consts[rng.gen_range(0..consts.len())],
+                consts[rng.gen_range(0..consts.len())],
+            ],
+        );
+    }
+    let bytes = snapshot_to_vec_v2(&i, &db).unwrap();
+    let (_, db2) = decode_snapshot(&bytes).unwrap();
+    let owned = db.relation(e).unwrap();
+    let lazy = db2.relation(e).unwrap();
+    let mut present = 0;
+    for &a in consts.iter().chain([&ghost]) {
+        for &b in consts.iter().chain([&ghost]) {
+            let want = usize::from(owned.contains(&[a, b]));
+            present += want;
+            assert_eq!(lazy.estimate_matching(&[Some(a), Some(b)]), want);
+            assert_eq!(owned.estimate_matching(&[Some(a), Some(b)]), want);
+        }
+    }
+    assert_eq!(present, db.size(), "every stored tuple was probed");
+    // The 0/1 answers came from the posting lists: no tuple block and no
+    // membership set was built for them.
+    assert!(
+        lazy.is_lazy(),
+        "a fully-bound estimate materialized the tuples"
+    );
+}
+
+#[test]
 fn every_v2_truncation_is_a_typed_error() {
     let bytes = sample_snapshot_v2();
     for len in 0..bytes.len() {
